@@ -218,23 +218,23 @@ mod tests {
     fn sample_stream() -> String {
         let mut s = String::new();
         s.push_str(
-            "{\"kind\":\"meta\",\"host_cores\":4,\"jobs\":2,\"engine\":\"replay\",\
+            "{\"kind\":\"meta\",\"host_cores\":4,\"jobs\":2,\"engine\":\"direct\",\
              \"git_rev\":\"abc123\",\"scale\":\"small\"}\n",
         );
         s.push_str(
             "{\"kind\":\"sim\",\"ordinal\":1,\"design\":\"WL-Cache\",\"trace\":\"tr.1(RF)\",\
-             \"workload\":\"sha\",\"engine\":\"replay\",\"elapsed_ns\":2000000,\"outages\":3,\
+             \"workload\":\"sha\",\"engine\":\"direct\",\"elapsed_ns\":2000000,\"outages\":3,\
              \"instructions\":100000,\"instr_per_s\":50000000}\n",
         );
         s.push_str(
             "{\"kind\":\"sim\",\"ordinal\":2,\"design\":\"WL-Cache\",\"trace\":\"tr.1(RF)\",\
-             \"workload\":\"fft\",\"engine\":\"replay\",\"elapsed_ns\":1000000,\"outages\":1,\
+             \"workload\":\"fft\",\"engine\":\"direct\",\"elapsed_ns\":1000000,\"outages\":1,\
              \"instructions\":50000,\"instr_per_s\":50000000}\n",
         );
         s.push_str("not json\n");
         s.push_str(
             "{\"kind\":\"profile\",\"wall_ns\":10000000,\"attributed_pct\":96.5,\
-             \"phases\":[{\"phase\":\"replay\",\"total_ns\":8000000,\"self_ns\":7000000,\
+             \"phases\":[{\"phase\":\"direct-sim\",\"total_ns\":8000000,\"self_ns\":7000000,\
              \"count\":2,\"ops\":0},{\"phase\":\"tsv-write\",\"total_ns\":1000000,\
              \"self_ns\":1000000,\"count\":1,\"ops\":0}],\"metrics\":{\"sims_run\":\"2\"}}\n",
         );
@@ -257,11 +257,11 @@ mod tests {
     fn phase_tsv_carries_wall_percentages() {
         let log = parse_progress_log(&sample_stream());
         let tsv = profile_phase_tsv(&log);
-        let replay_row = tsv
+        let sim_row = tsv
             .lines()
-            .find(|l| l.starts_with("replay\t"))
-            .expect("replay row");
-        let pct: f64 = replay_row.split('\t').nth(5).unwrap().parse().unwrap();
+            .find(|l| l.starts_with("direct-sim\t"))
+            .expect("direct-sim row");
+        let pct: f64 = sim_row.split('\t').nth(5).unwrap().parse().unwrap();
         assert!((pct - 70.0).abs() < 0.01, "7ms self of 10ms wall");
         assert!(tsv.contains("(wall)\t0.010000"));
     }
@@ -287,9 +287,9 @@ mod tests {
         assert!(svg.starts_with("<svg "));
         assert!(svg.ends_with("</svg>\n"));
         assert!(svg.contains("96.5% attributed"));
-        let replay_at = svg.find(">replay<").expect("replay bar label");
+        let sim_at = svg.find(">direct-sim<").expect("direct-sim bar label");
         let tsv_at = svg.find(">tsv-write<").expect("tsv-write bar label");
-        assert!(replay_at < tsv_at, "bars sorted by self-time descending");
+        assert!(sim_at < tsv_at, "bars sorted by self-time descending");
     }
 
     #[test]

@@ -328,27 +328,6 @@ impl BusTrace {
         self.bytes.len()
     }
 
-    /// FNV-1a hash of the encoded op stream — the content fingerprint
-    /// the sweep engine's trace dedup indexes by (the same hash the
-    /// on-disk format carries as its payload checksum). Equal streams
-    /// always hash equal; the converse is confirmed with
-    /// [`BusTrace::same_ops`] before any sharing happens.
-    pub fn content_fnv(&self) -> u64 {
-        fnv1a(&self.bytes)
-    }
-
-    /// Whether `other` records the same op stream over the same address
-    /// space: equal `mem_bytes` and byte-equal encoded payloads. The
-    /// encoding is canonical — one op sequence has exactly one encoding
-    /// (delta, varint and run-length decisions are all deterministic
-    /// functions of the sequence) — so byte equality is op-for-op
-    /// equality. The *name* and kernel checksum may differ: distinct
-    /// workloads can share one access pattern, which is exactly what
-    /// the sweep engine's dedup exploits.
-    pub fn same_ops(&self, other: &BusTrace) -> bool {
-        self.mem_bytes == other.mem_bytes && self.bytes == other.bytes
-    }
-
     /// A decoding cursor over the stream, yielding [`BusOp`]s in
     /// program order.
     pub fn cursor(&self) -> ReplayCursor<'_> {

@@ -2,7 +2,7 @@
 //! executor's previously ad-hoc statistics.
 //!
 //! `BENCH_sweep.json` used to be assembled from loose counters
-//! (`trace_cache_hits`, `sims_deduped`, memo hits, …) with the engine
+//! (store hits, memo hits, sims run, …) with the engine
 //! label and throughput formatted inline at the call site. The
 //! [`MetricsRegistry`] gives those one home: named counters, gauges,
 //! labels and [`Histogram`]s with deterministic iteration order
@@ -135,16 +135,15 @@ impl MetricsRegistry {
                     let _ = write!(s, "{b}");
                 }
                 MetricValue::Histogram(h) => {
+                    let (p50, p99) = p50_p99(h);
                     let _ = write!(
                         s,
-                        "{{\"count\": {}, \"sum\": {}, \"mean\": {}, \"min\": {}, \"max\": {}, \"p50\": {}, \"p99\": {}}}",
+                        "{{\"count\": {}, \"sum\": {}, \"mean\": {}, \"min\": {}, \"max\": {}, \"p50\": {p50}, \"p99\": {p99}}}",
                         h.count(),
                         h.sum(),
                         h.mean(),
                         h.min().unwrap_or(0),
                         h.max().unwrap_or(0),
-                        h.percentile(50.0).unwrap_or(0),
-                        h.percentile(99.0).unwrap_or(0)
                     );
                 }
             }
@@ -173,8 +172,7 @@ impl MetricsRegistry {
                 MetricValue::Histogram(h) => {
                     out.push((format!("{name}_count"), h.count().to_string()));
                     out.push((format!("{name}_mean"), h.mean().to_string()));
-                    let p50 = h.percentile(50.0).unwrap_or(0);
-                    let p99 = h.percentile(99.0).unwrap_or(0);
+                    let (p50, p99) = p50_p99(h);
                     out.push((format!("{name}_p50"), p50.to_string()));
                     out.push((format!("{name}_p99"), p99.to_string()));
                 }
@@ -182,6 +180,14 @@ impl MetricsRegistry {
         }
         out
     }
+}
+
+/// A histogram's exported quantiles (0 when empty).
+fn p50_p99(h: &Histogram) -> (u64, u64) {
+    (
+        h.percentile(0.5).unwrap_or(0),
+        h.percentile(0.99).unwrap_or(0),
+    )
 }
 
 #[cfg(test)]
@@ -195,7 +201,7 @@ mod tests {
         m.incr("sims_run", 8);
         m.incr("fresh", 3);
         m.set_gauge("instr_per_s", 1.25e9);
-        m.set_text("engine", "replay");
+        m.set_text("engine", "direct");
         m.histogram_mut("sim_rate").record(100);
         m.histogram_mut("sim_rate").record(200);
         assert_eq!(m.get("sims_run"), Some(&MetricValue::Counter(560)));
@@ -242,6 +248,34 @@ mod tests {
         assert_eq!(
             names,
             ["n", "rate_count", "rate_mean", "rate_p50", "rate_p99"]
+        );
+    }
+
+    /// Exported quantiles are true quantiles, not the max: on 1..=1000
+    /// plus one far outlier, p50 < p99 < max in both renderings.
+    #[test]
+    fn exported_quantiles_spread_below_the_max() {
+        let mut m = MetricsRegistry::new();
+        let h = m.histogram_mut("d");
+        for v in 1..=1000 {
+            h.record(v);
+        }
+        h.record(1_000_000);
+        let pairs = m.to_flat_pairs();
+        let get = |k: &str| -> u64 {
+            pairs
+                .iter()
+                .find(|(n, _)| n == k)
+                .and_then(|(_, v)| v.parse().ok())
+                .unwrap_or_else(|| panic!("missing {k}"))
+        };
+        let (p50, p99) = (get("d_p50"), get("d_p99"));
+        assert!(p50 < p99 && p99 < 1_000_000, "p50 {p50}, p99 {p99}");
+        assert_eq!((p50, p99), (511, 1023), "log2 bucket upper bounds");
+        let json = m.to_json("");
+        assert!(
+            json.contains("\"max\": 1000000, \"p50\": 511, \"p99\": 1023}"),
+            "{json}"
         );
     }
 }

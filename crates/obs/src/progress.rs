@@ -57,7 +57,8 @@ pub struct SimHeartbeat {
     pub trace: String,
     /// Workload name.
     pub workload: String,
-    /// Execution engine label (`replay`, `exact`, `+check` variants).
+    /// Execution engine label (`direct`, `direct+batch-check`, or
+    /// `serial` for the serial reference).
     pub engine: String,
     /// Wall-clock time this simulation took, in nanoseconds.
     pub elapsed_ns: u64,
@@ -309,7 +310,7 @@ mod tests {
             design: "WL-Cache".into(),
             trace: "RF-1".into(),
             workload: "sha".into(),
-            engine: "replay".into(),
+            engine: "direct".into(),
             elapsed_ns: 123_456_789,
             outages: 17,
             instructions: 9_876_543,
@@ -342,7 +343,7 @@ mod tests {
         let m = SweepMeta {
             host_cores: 1,
             jobs: 4,
-            engine: "replay+check".into(),
+            engine: "direct+batch-check".into(),
             git_rev: "0123abcd".into(),
             scale: "default".into(),
         };
