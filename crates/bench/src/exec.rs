@@ -17,8 +17,19 @@
 //! the CLI (`record-bus`, `replay`, `import-trace`) and event-level
 //! bisection, and the replay-equivalence suite pins replay to direct
 //! execution across the design grid. `EHSIM_BATCH_CHECK=1` runs every
-//! simulation a second time on the per-retire settlement reference
-//! path and asserts the two reports identical.
+//! simulation a second time, alone, on the per-retire settlement
+//! reference path and asserts the two reports identical.
+//!
+//! **Lockstep work items.** Workers claim *work items*, not single
+//! jobs. Misses on the same `(workload, scale)` and power trace whose
+//! configs integrate a capacitor share one item, run by one kernel execution driving all
+//! their machines in lockstep ([`ehsim::Simulator::run_group_with`]):
+//! per-retire settlement is a latency-bound f64 chain, and lockstep
+//! lets the CPU overlap the lanes' chains. An item's summed simulated
+//! memory (NVM image, plus the oracle under `verify`) stays within the
+//! suite's largest single workload at that scale, so peak memory does
+//! not grow. No-failure, streamed and over-budget jobs run alone. A
+//! group's wall time is split evenly across its lanes' heartbeats.
 //!
 //! **Persistent result store.** `EHSIM_RESULT_STORE=<dir>` persists
 //! completed *reports* across processes in
@@ -65,6 +76,7 @@
 
 use crate::telemetry;
 use ehsim::{ObserverBox, Report, SimConfig, Simulator};
+use ehsim_energy::TraceKind;
 use ehsim_obs::{Phase, StreamStatsHandle, StreamingObserver};
 use ehsim_workloads::Scale;
 use std::collections::HashMap;
@@ -328,16 +340,42 @@ fn run_direct(job: &Job, streaming: bool) -> Report {
     };
     let (report, machine) = Simulator::new(job.cfg.clone())
         .run_with(w.as_ref(), obs)
-        .unwrap_or_else(|e| {
-            panic!(
-                "{} / {} on {}: {e}",
-                job.cfg.design.label(),
-                w.name(),
-                job.cfg.trace_label()
-            )
-        });
+        .unwrap_or_else(|e| sim_failed(job, e));
     record_sim_ops(machine.settle_windows(), emit_stats);
     report
+}
+
+/// The harness treats a simulation error as fatal: panic with context.
+fn sim_failed(job: &Job, e: ehsim::SimError) -> ! {
+    panic!(
+        "{} / {} on {}: {e}",
+        job.cfg.design.label(),
+        workload_name(job.workload),
+        job.cfg.trace_label()
+    )
+}
+
+/// Runs the jobs of one lockstep work item — all on the same
+/// `(workload, scale)` — with one kernel execution
+/// ([`Simulator::run_group_with`]). Each report is exactly what
+/// [`run_direct`] returns for its job.
+fn run_grouped(jobs: &[&Job]) -> Vec<Report> {
+    let _t = telemetry::scope(Phase::DirectSim);
+    let lead = jobs[0];
+    let workloads = ehsim_workloads::all23(lead.scale);
+    let w = workloads
+        .get(lead.workload)
+        .unwrap_or_else(|| panic!("workload index {} out of range", lead.workload));
+    let cfgs: Vec<SimConfig> = jobs.iter().map(|j| j.cfg.clone()).collect();
+    Simulator::run_group_with(&cfgs, w.as_ref())
+        .into_iter()
+        .zip(jobs)
+        .map(|(outcome, job)| {
+            let (report, machine) = outcome.unwrap_or_else(|e| sim_failed(job, e));
+            record_sim_ops(machine.settle_windows(), None);
+            report
+        })
+        .collect()
 }
 
 /// Whether `job`'s simulation should stream an event timeline
@@ -351,26 +389,57 @@ fn streaming(job: &Job) -> bool {
 fn simulate(job: &Job) -> Report {
     let start_ns = telemetry::sim_clock_start();
     let report = run_direct(job, streaming(job));
-    if batch_check() {
-        // Same simulation again, but with every machine constructed on
-        // the per-retire reference settlement path.
-        let reference = ehsim::with_settle_batching_disabled(|| run_direct(job, false));
-        assert_eq!(
-            reference,
-            report,
-            "batched settlement diverged from the per-retire reference: {} / {} on {}",
-            job.cfg.design.label(),
-            workload_name(job.workload),
-            job.cfg.trace_label()
-        );
-    }
-    finish(job, engine(), start_ns, &report);
+    batch_cross_check(job, &report);
+    finish(
+        job,
+        engine(),
+        telemetry::sim_clock_elapsed(start_ns),
+        &report,
+    );
     report
 }
 
+/// Runs a lockstep work item on the engine path. Under
+/// `EHSIM_BATCH_CHECK` each job's reference run stays a solo run, so
+/// the check pins the grouped path against the per-retire reference.
+/// The group's wall time is split evenly across its lanes, so the
+/// lanes' heartbeats add up to exactly the time the worker spent.
+fn simulate_group(jobs: &[&Job]) -> Vec<Report> {
+    let start_ns = telemetry::sim_clock_start();
+    let reports = run_grouped(jobs);
+    for (job, report) in jobs.iter().zip(&reports) {
+        batch_cross_check(job, report);
+    }
+    let wall_ns = telemetry::sim_clock_elapsed(start_ns);
+    let lanes = jobs.len() as u64;
+    for (lane, (job, report)) in (0u64..).zip(jobs.iter().zip(&reports)) {
+        let share = wall_ns / lanes + u64::from(lane < wall_ns % lanes);
+        finish(job, engine(), share, report);
+    }
+    reports
+}
+
+/// `EHSIM_BATCH_CHECK=1`: the same simulation again, with every machine
+/// constructed on the per-retire reference settlement path, must give
+/// the same report.
+fn batch_cross_check(job: &Job, report: &Report) {
+    if !batch_check() {
+        return;
+    }
+    let reference = ehsim::with_settle_batching_disabled(|| run_direct(job, false));
+    assert_eq!(
+        &reference,
+        report,
+        "batched settlement diverged from the per-retire reference: {} / {} on {}",
+        job.cfg.design.label(),
+        workload_name(job.workload),
+        job.cfg.trace_label()
+    );
+}
+
 /// Counter bump and heartbeat shared by the engine and serial-reference
-/// paths.
-fn finish(job: &Job, engine: &str, start_ns: u64, report: &Report) {
+/// paths; `elapsed_ns` is the host time charged to this simulation.
+fn finish(job: &Job, engine: &str, elapsed_ns: u64, report: &Report) {
     let c = counters();
     c.sims.fetch_add(1, Ordering::Relaxed);
     c.instructions
@@ -380,27 +449,28 @@ fn finish(job: &Job, engine: &str, start_ns: u64, report: &Report) {
         job.cfg.trace_label(),
         workload_name(job.workload),
         engine,
-        start_ns,
+        elapsed_ns,
         report,
     );
 }
 
-/// Runs one memo miss: tries the persistent result store first (when
-/// configured and [`store_eligible`]), falling back to [`simulate`];
-/// freshly executed results refresh the store best-effort. A store hit
-/// is *not* an executed simulation: no heartbeat, no `sims_run` bump —
+/// The persistent result store, when configured and this run may use
+/// it: the batch cross-check exists to re-execute, so it never reads
+/// or writes the store.
+fn active_store() -> Option<&'static ehsim_farm::ResultStore> {
+    result_store().filter(|_| !batch_check())
+}
+
+/// Looks a memo miss up in the persistent result store. A store hit is
+/// *not* an executed simulation: no heartbeat, no `sims_run` bump —
 /// only `store_hits` — so "heartbeat count == sims actually executed"
 /// stays true for farm clients.
-fn simulate_or_load(job: &Job, key: Option<&MemoKey>) -> Report {
-    let store = result_store().filter(|_| !batch_check());
-    let (store, key) = match (store, key) {
-        (Some(s), Some(k)) => (s, k),
-        _ => return simulate(job),
-    };
+fn load_stored(key: Option<&MemoKey>) -> Option<Report> {
+    let (store, key) = (active_store()?, key?);
     match store.load(key) {
         ehsim_farm::LoadOutcome::Hit(report) => {
             counters().store_hits.fetch_add(1, Ordering::Relaxed);
-            return *report;
+            return Some(*report);
         }
         ehsim_farm::LoadOutcome::Miss => {
             counters().store_misses.fetch_add(1, Ordering::Relaxed);
@@ -410,14 +480,135 @@ fn simulate_or_load(job: &Job, key: Option<&MemoKey>) -> Report {
             eprintln!("warning: result store entry rejected ({reason}); re-executing");
         }
     }
-    let report = simulate(job);
-    if let Err(e) = store.save(key, &report) {
+    None
+}
+
+/// Refreshes the persistent result store with a freshly executed
+/// report, best-effort.
+fn persist(key: Option<&MemoKey>, report: &Report) {
+    let (Some(store), Some(key)) = (active_store(), key) else {
+        return;
+    };
+    if let Err(e) = store.save(key, report) {
         eprintln!(
             "warning: failed to persist result for {}: {e}",
             report.workload
         );
     }
-    report
+}
+
+/// Executes one work item of a batch's misses (indices into `misses`)
+/// — alone, or as one lockstep group — and refreshes the store.
+fn run_item(
+    item: &[usize],
+    misses: &[&Job],
+    keys: &[Option<MemoKey>],
+    results: &[OnceLock<Arc<Report>>],
+) {
+    let reports = match item {
+        [i] => vec![simulate(misses[*i])],
+        _ => simulate_group(&item.iter().map(|&i| misses[i]).collect::<Vec<_>>()),
+    };
+    for (&i, report) in item.iter().zip(reports) {
+        persist(keys[i].as_ref(), &report);
+        let _ = results[i].set(Arc::new(report));
+    }
+}
+
+/// Runs `f(i)` for every `i` in `0..n` on a scoped pool of up to
+/// [`jobs`] workers, each claiming the next index.
+fn on_pool(n: usize, f: impl Fn(usize) + Sync) {
+    let next = AtomicUsize::new(0);
+    std::thread::scope(|s| {
+        for _ in 0..jobs().min(n) {
+            s.spawn(|| loop {
+                let i = next.fetch_add(1, Ordering::Relaxed);
+                if i >= n {
+                    break;
+                }
+                f(i);
+            });
+        }
+    });
+}
+
+/// Simulated memory one job's machine holds: the workload's NVM image,
+/// plus the oracle copy under `verify`.
+fn lane_bytes(job: &Job) -> u64 {
+    let nvm = u64::from(workload_mem(job.scale)[job.workload]);
+    if job.cfg.verify {
+        2 * nvm
+    } else {
+        nvm
+    }
+}
+
+/// NVM bytes of every suite workload at `scale` (built once per scale).
+fn workload_mem(scale: Scale) -> &'static [u32] {
+    static SMALL: OnceLock<Vec<u32>> = OnceLock::new();
+    static DEFAULT: OnceLock<Vec<u32>> = OnceLock::new();
+    let cell = match scale {
+        Scale::Small => &SMALL,
+        Scale::Default => &DEFAULT,
+    };
+    cell.get_or_init(|| {
+        ehsim_workloads::all23(scale)
+            .iter()
+            .map(|w| w.mem_bytes())
+            .collect()
+    })
+}
+
+/// A lockstep group's memory budget: the suite's largest single
+/// workload at `scale`, the most one solo simulation holds. Groups
+/// stay within it, so grouping never raises peak memory.
+fn group_budget(scale: Scale) -> u64 {
+    workload_mem(scale)
+        .iter()
+        .copied()
+        .map(u64::from)
+        .max()
+        .unwrap_or(0)
+}
+
+/// Whether a job may share a lockstep group: only a config that
+/// integrates a capacitor has the per-retire settlement chain that
+/// lockstep overlaps (without failures lockstep measured no gain), and
+/// a streamed timeline needs its own observed machine.
+fn groupable(job: &Job) -> bool {
+    job.cfg.failures_enabled() && !streaming(job)
+}
+
+/// Splits a batch's misses (by index) into work items. Groupable misses
+/// on the same `(workload, scale)` and built-in power trace share an
+/// item, in submission order, while the item's summed [`lane_bytes`]
+/// fit the [`group_budget`]; every other miss is an item of its own.
+/// Keying on the trace keeps one built trace (64 KiB of segments) per
+/// group, as a solo simulation has; a custom trace is the job's own
+/// and costs a lane nothing.
+fn work_items(misses: &[&Job], groupable: impl Fn(&Job) -> bool) -> Vec<Vec<usize>> {
+    let mut items: Vec<Vec<usize>> = Vec::new();
+    // The open item of each group key and its summed bytes.
+    let mut open: HashMap<(usize, Scale, TraceKind), (usize, u64)> = HashMap::new();
+    for (i, job) in misses.iter().enumerate() {
+        if !groupable(job) {
+            items.push(vec![i]);
+            continue;
+        }
+        let key = (job.workload, job.scale, job.cfg.trace);
+        let bytes = lane_bytes(job);
+        match open.get_mut(&key) {
+            Some((ix, used)) if *used + bytes <= group_budget(job.scale) => {
+                items[*ix].push(i);
+                *used += bytes;
+            }
+            _ => {
+                open.insert(key, (items.len(), bytes));
+                items.push(vec![i]);
+            }
+        }
+    }
+    items
 }
 
 enum Slot {
@@ -437,7 +628,7 @@ pub fn run_batch(batch: &[Job]) -> Vec<Arc<Report>> {
             .map(|j| {
                 let start_ns = telemetry::sim_clock_start();
                 let report = run_direct(j, streaming(j));
-                finish(j, "serial", start_ns, &report);
+                finish(j, "serial", telemetry::sim_clock_elapsed(start_ns), &report);
                 Arc::new(report)
             })
             .collect();
@@ -478,26 +669,31 @@ pub fn run_batch(batch: &[Job]) -> Vec<Arc<Report>> {
         }
     }
 
-    // Execute the misses on the worker pool.
+    // Serve what the persistent store holds, then execute the rest,
+    // one work item at a time. Store loads run per job, so a warm
+    // store is read on every worker. The main thread only waits here;
+    // workers profile their own phases on their own scope stacks.
+    // Worker-wait is excluded from the attribution percentage.
     let results: Vec<OnceLock<Arc<Report>>> = (0..misses.len()).map(|_| OnceLock::new()).collect();
     if !misses.is_empty() {
-        let workers = jobs().min(misses.len());
-        let next = AtomicUsize::new(0);
-        // The main thread only waits here; workers profile their own
-        // phases on their own scope stacks. Worker-wait is excluded
-        // from the attribution percentage.
         let _t = telemetry::scope(Phase::WorkerWait);
-        std::thread::scope(|s| {
-            for _ in 0..workers {
-                s.spawn(|| loop {
-                    let i = next.fetch_add(1, Ordering::Relaxed);
-                    if i >= misses.len() {
-                        break;
-                    }
-                    let report = Arc::new(simulate_or_load(misses[i], miss_keys[i].as_ref()));
-                    let _ = results[i].set(report);
-                });
-            }
+        if active_store().is_some() {
+            on_pool(misses.len(), |i| {
+                if let Some(report) = load_stored(miss_keys[i].as_ref()) {
+                    let _ = results[i].set(Arc::new(report));
+                }
+            });
+        }
+        let pending: Vec<usize> = (0..misses.len())
+            .filter(|&i| results[i].get().is_none())
+            .collect();
+        let pending_jobs: Vec<&Job> = pending.iter().map(|&i| misses[i]).collect();
+        let items: Vec<Vec<usize>> = work_items(&pending_jobs, groupable)
+            .into_iter()
+            .map(|item| item.into_iter().map(|k| pending[k]).collect())
+            .collect();
+        on_pool(items.len(), |k| {
+            run_item(&items[k], &misses, &miss_keys, &results);
         });
     }
 
@@ -506,7 +702,7 @@ pub fn run_batch(batch: &[Job]) -> Vec<Arc<Report>> {
         .into_iter()
         .map(|cell| {
             cell.into_inner()
-                .expect("worker completed every claimed job")
+                .expect("worker completed every claimed work item")
         })
         .collect();
     {
@@ -588,6 +784,72 @@ mod tests {
         let trace = ehsim_energy::PowerTrace::constant(100.0);
         let cfg = SimConfig::wl_cache().with_custom_trace(trace);
         assert_eq!(memo_key(&Job::new(cfg, 0, Scale::Small)), None);
+    }
+
+    /// Lockstep work items at both scales, over every design × a
+    /// no-failure and two harvested traces × every workload, plus
+    /// verified and custom-trace jobs: every miss lands in exactly one
+    /// item; an item shares one `(workload, scale, trace)` in submission
+    /// order;
+    /// a multi-lane item holds only failure-enabled, unstreamed jobs
+    /// and fits the memory budget; no-failure and streamed jobs always
+    /// run alone.
+    #[test]
+    fn work_items_group_within_the_memory_budget() {
+        let custom = ehsim_energy::PowerTrace::constant(5_000.0);
+        // A stand-in for `EHSIM_TRACE_WORKLOAD`, which the process
+        // environment fixes.
+        let streamed = |job: &Job| job.workload == 3;
+        for scale in [Scale::Small, Scale::Default] {
+            let n = workload_mem(scale).len();
+            let mut designs = SimConfig::all_designs();
+            designs.push(SimConfig::wl_cache_dyn());
+            let mut batch = Vec::new();
+            for kind in [TraceKind::None, TraceKind::Rf1, TraceKind::Rf3] {
+                for cfg in &designs {
+                    for w in 0..n {
+                        batch.push(Job::new(cfg.clone().with_trace(kind), w, scale));
+                    }
+                }
+            }
+            for w in 0..n {
+                let verified = SimConfig::wl_cache()
+                    .with_trace(TraceKind::Rf1)
+                    .with_verify();
+                batch.push(Job::new(verified, w, scale));
+                let harvested = SimConfig::nvsram().with_custom_trace(custom.clone());
+                batch.push(Job::new(harvested, w, scale));
+            }
+            let misses: Vec<&Job> = batch.iter().collect();
+            let items = work_items(&misses, |j| j.cfg.failures_enabled() && !streamed(j));
+
+            let mut seen: Vec<usize> = items.concat();
+            seen.sort_unstable();
+            assert_eq!(seen, (0..misses.len()).collect::<Vec<_>>());
+            for item in &items {
+                let lead = misses[item[0]];
+                assert!(item.windows(2).all(|p| p[0] < p[1]), "submission order");
+                for &i in item {
+                    let job = misses[i];
+                    assert_eq!(
+                        (job.workload, job.scale, job.cfg.trace),
+                        (lead.workload, lead.scale, lead.cfg.trace)
+                    );
+                    if !job.cfg.failures_enabled() || streamed(job) {
+                        assert_eq!(item.len(), 1, "no-failure and streamed jobs run alone");
+                    }
+                }
+                if item.len() > 1 {
+                    let bytes: u64 = item.iter().map(|&i| lane_bytes(misses[i])).sum();
+                    assert!(bytes <= group_budget(scale), "{bytes} over budget");
+                }
+            }
+            assert!(
+                items.iter().any(|i| i.len() >= designs.len()),
+                "groups form"
+            );
+            assert!(!groupable(&Job::new(SimConfig::wl_cache(), 0, scale)));
+        }
     }
 
     /// The executor contract the benchmark harness builds against: the

@@ -278,23 +278,34 @@ pub fn sim_clock_start() -> u64 {
     }
 }
 
+/// Stops the per-sim stopwatch started by [`sim_clock_start`]: the
+/// nanoseconds since `start_ns` when telemetry is [`active`], 0
+/// otherwise.
+pub fn sim_clock_elapsed(start_ns: u64) -> u64 {
+    if active() {
+        now_ns().saturating_sub(start_ns)
+    } else {
+        0
+    }
+}
+
 /// Executor hook for one *executed* simulation: assigns the completion
 /// ordinal, feeds the per-sim histograms and emits a heartbeat line.
-/// `start_ns` comes from [`sim_clock_start`]; `engine` is the
-/// execution-engine label for this particular run.
+/// `elapsed_ns` is the host time charged to the simulation (from
+/// [`sim_clock_elapsed`], or its share of a lockstep group's);
+/// `engine` is the execution-engine label for this particular run.
 pub fn sim_completed(
     design: &str,
     trace: &str,
     workload: &str,
     engine: &str,
-    start_ns: u64,
+    elapsed_ns: u64,
     report: &Report,
 ) {
     if !active() {
         return;
     }
     let ordinal = ORDINAL.fetch_add(1, Ordering::Relaxed) + 1;
-    let elapsed_ns = now_ns().saturating_sub(start_ns);
     let instr_per_s = if elapsed_ns == 0 {
         0.0
     } else {

@@ -5,14 +5,17 @@
 //! end-of-sweep profile line, every line parseable by the shared
 //! schema, with the stream's in-memory buffer staying bounded.
 //!
+//! A second phase pins heartbeat accounting for lockstep groups.
+//!
 //! Telemetry globals are process-wide, so this file keeps a single
 //! test function; counters are compared as deltas.
 
 use ehsim::SimConfig;
 use ehsim_bench::{exec, telemetry};
 use ehsim_energy::TraceKind;
-use ehsim_obs::{parse_progress_line, ProgressLine};
+use ehsim_obs::{parse_progress_line, ProgressLine, SimHeartbeat};
 use ehsim_workloads::Scale;
+use std::sync::{Arc, Mutex};
 
 #[test]
 fn progress_stream_emits_one_heartbeat_per_executed_sim() {
@@ -141,4 +144,49 @@ fn progress_stream_emits_one_heartbeat_per_executed_sim() {
     assert!(settle_ops > 0, "settlement windows were counted");
 
     let _ = std::fs::remove_file(&path);
+
+    grouped_heartbeats_fit_in_worker_busy_time();
+}
+
+/// A lockstep group's heartbeats share its wall time instead of each
+/// claiming all of it, so the heartbeats of a grouped batch sum to no
+/// more than the workers' busy time — which keeps the benchmark's
+/// `exec.worker_util` (heartbeat sum over wall × workers) at most 1.
+/// The five designs on Power Trace 3 over one small workload, none
+/// simulated before, fit the memory budget as one work item, which one
+/// worker runs: its busy time is at most the batch's wall time.
+fn grouped_heartbeats_fit_in_worker_busy_time() {
+    let samples: Arc<Mutex<Vec<u64>>> = Arc::default();
+    let sink = Arc::clone(&samples);
+    telemetry::add_heartbeat_sink(Arc::new(move |hb: &SimHeartbeat| {
+        sink.lock().expect("samples lock").push(hb.elapsed_ns);
+    }));
+    let jobs: Vec<exec::Job> = SimConfig::all_designs()
+        .into_iter()
+        .map(|c| exec::Job::new(c.with_trace(TraceKind::Rf3), 5, Scale::Small))
+        .collect();
+
+    let before = exec::stats();
+    let start_ns = telemetry::now_ns();
+    let reports = exec::run_batch(&jobs);
+    let wall_ns = telemetry::now_ns() - start_ns;
+    assert_eq!(reports.len(), jobs.len());
+    let executed = exec::stats().sims_run - before.sims_run;
+    assert_eq!(executed, jobs.len() as u64, "every job executed");
+
+    let samples = samples.lock().expect("samples lock").clone();
+    assert_eq!(
+        samples.len() as u64,
+        executed,
+        "one heartbeat per executed sim"
+    );
+    assert!(
+        samples.iter().all(|&ns| ns > 0),
+        "every lane was charged time"
+    );
+    let busy_ns: u64 = samples.iter().sum();
+    assert!(
+        busy_ns <= wall_ns,
+        "heartbeats sum to {busy_ns} ns, more than the {wall_ns} ns one worker was busy"
+    );
 }

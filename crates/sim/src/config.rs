@@ -217,6 +217,13 @@ impl SimConfig {
         self
     }
 
+    /// Whether the machine integrates a capacitor and simulates power
+    /// failures: a built-in harvesting trace or a custom one. Without
+    /// either, the supply is unlimited and no outage can happen.
+    pub fn failures_enabled(&self) -> bool {
+        self.custom_trace.is_some() || self.trace != TraceKind::None
+    }
+
     /// Label of the effective trace, for reports.
     pub fn trace_label(&self) -> &'static str {
         if self.custom_trace.is_some() {

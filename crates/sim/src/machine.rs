@@ -6,7 +6,7 @@ use crate::error::SimError;
 use crate::params::{COMPUTE_CHUNK_CYCLES, MAX_RECHARGE_PS};
 use ehsim_cache::{CacheDesign, CacheStats, MemCtx};
 use ehsim_energy::{
-    Capacitor, ChargingModel, EnergyCategory, EnergyMeter, TraceCursor, TraceKind,
+    Capacitor, ChargingModel, EnergyCategory, EnergyMeter, PowerTrace, TraceCursor,
     VoltageThresholds,
 };
 use ehsim_mem::{AccessSize, Bus, FunctionalMem, NvmPort, Pj, Ps};
@@ -118,10 +118,26 @@ impl Machine {
     /// [`Machine::new`] with an event sink attached. The observer only
     /// watches — simulated results are identical to an unobserved run.
     pub fn with_observer(cfg: &SimConfig, mem_bytes: u32, obs: ObserverBox) -> Self {
+        let trace = cfg
+            .custom_trace
+            .clone()
+            .unwrap_or_else(|| cfg.trace.build());
+        Self::with_trace(cfg, mem_bytes, obs, &trace)
+    }
+
+    /// [`Machine::with_observer`] harvesting from `trace`, which must be
+    /// `cfg`'s effective power trace. Lockstep lanes share one built
+    /// trace (the segment storage is reference-counted).
+    pub(crate) fn with_trace(
+        cfg: &SimConfig,
+        mem_bytes: u32,
+        obs: ObserverBox,
+        trace: &PowerTrace,
+    ) -> Self {
         let design = DesignBox::from_config(cfg);
         let line = cfg.geometry.line_bytes();
         let size = mem_bytes.max(line).div_ceil(line) * line;
-        let failures = cfg.custom_trace.is_some() || cfg.trace != TraceKind::None;
+        let failures = cfg.failures_enabled();
         let mut cap = Capacitor::with_uf(cfg.capacitor_uf, 2.8, 3.5);
         // With failures enabled, the node starts unpowered and must
         // first harvest its way up to `Von` — the initial charge is what
@@ -132,10 +148,6 @@ impl Machine {
         } else {
             cap.set_voltage(design.thresholds().v_on.min(cap.v_max()));
         }
-        let trace = cfg
-            .custom_trace
-            .clone()
-            .unwrap_or_else(|| cfg.trace.build());
         let mut nvm = FunctionalMem::new(size);
         let verify_oracle = cfg.verify.then(|| {
             // Track NVM writes and oracle (store) writes at line
@@ -395,8 +407,12 @@ impl Machine {
         }
     }
 
-    /// Energy settlement plus the power-failure check.
-    fn settle(&mut self) {
+    /// Energy settlement plus the power-failure check: the second half
+    /// of every retired operation (the first is [`Machine::load_access`],
+    /// [`Machine::store_access`] or [`Machine::compute_chunk`]). The
+    /// lockstep group bus runs it for every lane back to back, so the
+    /// lanes' independent settlement chains overlap (DESIGN.md §2.9).
+    pub(crate) fn settle(&mut self) {
         self.settles += 1;
         if !self.batch || self.obs.enabled() {
             // Reference path (`EHSIM_NO_BATCH=1`), also taken whenever
@@ -797,6 +813,55 @@ impl Machine {
         }
     }
 
+    /// Start of every bus operation: surface a recorded abort, then
+    /// boot the machine on its first operation.
+    pub(crate) fn begin_op(&mut self) {
+        self.check_error();
+        self.boot_if_needed();
+    }
+
+    /// Access half of [`Bus::load`]: the design's load and the retire,
+    /// without settlement. Returns the loaded value.
+    pub(crate) fn load_access(&mut self, addr: u32, size: AccessSize) -> u64 {
+        self.begin_op();
+        let start = self.now;
+        let (done, value) = self.with_ctx(|design, ctx| design.load(ctx, addr, size));
+        // In-order core: an instruction takes at least one cycle.
+        self.now = done.max(start + self.cpu.ps_per_cycle);
+        self.retire_instruction();
+        value
+    }
+
+    /// Access half of [`Bus::store`]: the design's store, the oracle
+    /// write under verification, and the retire, without settlement.
+    pub(crate) fn store_access(&mut self, addr: u32, size: AccessSize, value: u64) {
+        self.begin_op();
+        let start = self.now;
+        let done = self.with_ctx(|design, ctx| design.store(ctx, addr, size, value));
+        self.now = done.max(start + self.cpu.ps_per_cycle);
+        if let Some(oracle) = &mut self.verify_oracle {
+            oracle.write(addr, size, value);
+        }
+        self.retire_instruction();
+    }
+
+    /// Access half of one reference-path compute chunk (at most
+    /// [`COMPUTE_CHUNK_CYCLES`]): time, dynamic energy, retired count
+    /// and the instruction hook, without settlement.
+    pub(crate) fn compute_chunk(&mut self, chunk: u64) {
+        self.now += chunk * self.cpu.ps_per_cycle;
+        self.meter.add(
+            EnergyCategory::Compute,
+            chunk as f64 * self.cpu.compute_pj_per_cycle,
+        );
+        self.instructions += chunk;
+        if self.instr_hook {
+            let n = self.instructions;
+            let done = self.with_ctx(|design, ctx| design.on_instructions(ctx, n));
+            self.now = self.now.max(done);
+        }
+    }
+
     fn retire_instruction(&mut self) {
         self.instructions += 1;
         self.meter
@@ -811,33 +876,18 @@ impl Machine {
 
 impl Bus for Machine {
     fn load(&mut self, addr: u32, size: AccessSize) -> u64 {
-        self.check_error();
-        self.boot_if_needed();
-        let start = self.now;
-        let (done, value) = self.with_ctx(|design, ctx| design.load(ctx, addr, size));
-        // In-order core: an instruction takes at least one cycle.
-        self.now = done.max(start + self.cpu.ps_per_cycle);
-        self.retire_instruction();
+        let value = self.load_access(addr, size);
         self.settle();
         value
     }
 
     fn store(&mut self, addr: u32, size: AccessSize, value: u64) {
-        self.check_error();
-        self.boot_if_needed();
-        let start = self.now;
-        let done = self.with_ctx(|design, ctx| design.store(ctx, addr, size, value));
-        self.now = done.max(start + self.cpu.ps_per_cycle);
-        if let Some(oracle) = &mut self.verify_oracle {
-            oracle.write(addr, size, value);
-        }
-        self.retire_instruction();
+        self.store_access(addr, size, value);
         self.settle();
     }
 
     fn compute(&mut self, cycles: u64) {
-        self.check_error();
-        self.boot_if_needed();
+        self.begin_op();
         if self.batch && !self.instr_hook && !self.obs.enabled() {
             // A pure compute stretch runs no design code (no bus ops,
             // no instruction hook), so it is a fusable run: see
@@ -849,17 +899,7 @@ impl Bus for Machine {
         while remaining > 0 {
             let chunk = remaining.min(COMPUTE_CHUNK_CYCLES);
             remaining -= chunk;
-            self.now += chunk * self.cpu.ps_per_cycle;
-            self.meter.add(
-                EnergyCategory::Compute,
-                chunk as f64 * self.cpu.compute_pj_per_cycle,
-            );
-            self.instructions += chunk;
-            if self.instr_hook {
-                let n = self.instructions;
-                let done = self.with_ctx(|design, ctx| design.on_instructions(ctx, n));
-                self.now = self.now.max(done);
-            }
+            self.compute_chunk(chunk);
             self.settle();
         }
     }

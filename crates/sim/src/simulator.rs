@@ -1,8 +1,10 @@
 //! The top-level simulation driver.
 
+use crate::lockstep::Lockstep;
 use crate::machine::{Abort, Machine};
 use crate::report::Report;
 use crate::{SimConfig, SimError};
+use ehsim_energy::{PowerTrace, TraceKind};
 use ehsim_mem::{Bus, BusOp, BusTrace, Workload};
 use ehsim_obs::{ObserverBox, RunTrace};
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -85,6 +87,74 @@ impl Simulator {
                 Ok((report, machine))
             }
             Err(payload) => Err(abort_error(&mut machine, payload)),
+        }
+    }
+
+    /// Runs `workload` once per configuration in `cfgs` and returns one
+    /// result per configuration, in order — each exactly what
+    /// [`Simulator::run`] returns for it.
+    ///
+    /// The kernel executes once, against a bus that drives one fresh,
+    /// unobserved machine per configuration in lockstep: every
+    /// operation goes to every lane's design, then every lane settles
+    /// its capacitor. The lanes' settlement chains are independent, so
+    /// the CPU overlaps them (DESIGN.md §2.9). Every lane's loaded
+    /// value must equal lane 0's. If any lane aborts (an outage limit,
+    /// a dead source, a consistency violation), any load disagrees, or
+    /// the kernel panics, the group is dropped and every configuration
+    /// runs alone, so results and errors match [`Simulator::run`]
+    /// exactly.
+    pub fn run_group(cfgs: &[SimConfig], workload: &dyn Workload) -> Vec<Result<Report, SimError>> {
+        Self::run_group_with(cfgs, workload)
+            .into_iter()
+            .map(|r| r.map(|(report, _)| report))
+            .collect()
+    }
+
+    /// [`Simulator::run_group`], also returning each lane's machine
+    /// (for telemetry such as [`Machine::settle_windows`]).
+    pub fn run_group_with(
+        cfgs: &[SimConfig],
+        workload: &dyn Workload,
+    ) -> Vec<Result<(Report, Machine), SimError>> {
+        if cfgs.is_empty() {
+            return Vec::new();
+        }
+        let mem_bytes = workload.mem_bytes();
+        // Lanes on the same built-in trace share one built copy.
+        let mut built: Vec<(TraceKind, PowerTrace)> = Vec::new();
+        let lanes = cfgs
+            .iter()
+            .map(|cfg| {
+                let trace = cfg.custom_trace.clone().unwrap_or_else(|| {
+                    if let Some((_, trace)) = built.iter().find(|(kind, _)| *kind == cfg.trace) {
+                        return trace.clone();
+                    }
+                    let trace = cfg.trace.build();
+                    built.push((cfg.trace, trace.clone()));
+                    trace
+                });
+                Machine::with_trace(cfg, mem_bytes, ObserverBox::Noop, &trace)
+            })
+            .collect();
+        let mut bus = Lockstep { lanes };
+        match catch_unwind(AssertUnwindSafe(|| workload.run(&mut bus))) {
+            Ok(checksum) => bus
+                .lanes
+                .into_iter()
+                .zip(cfgs)
+                .map(|(machine, cfg)| {
+                    let report = Report::from_machine(&machine, cfg, workload.name(), checksum);
+                    Ok((report, machine))
+                })
+                .collect(),
+            Err(_) => {
+                // Free the lanes before the solo runs allocate theirs.
+                drop(bus);
+                cfgs.iter()
+                    .map(|cfg| Simulator::new(cfg.clone()).run_with(workload, ObserverBox::Noop))
+                    .collect()
+            }
         }
     }
 
